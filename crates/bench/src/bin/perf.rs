@@ -1,14 +1,13 @@
-//! The perf harness: a fixed set of hot-path microbenches plus one
-//! end-to-end `fig3`-point simulation, timed with plain wall clocks and
-//! emitted as machine-readable JSON (`BENCH_*.json`).
+//! The perf harness: a fixed set of hot-path microbenches plus two
+//! end-to-end simulations (a `fig3` and a `fig5` point), timed with
+//! plain wall clocks and emitted as machine-readable JSON
+//! (`BENCH_*.json`).
 //!
 //! ```text
-//! perf [--fast] [--shards N] [--json PATH] [--baseline PATH] [--fail-below RATIO]
+//! perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]
 //! perf cmp OLD.json NEW.json [--fail-below RATIO]
 //!
 //!   --fast             CI smoke mode: one repetition, small batches
-//!   --shards N         engine shards for the sharded e2e bench
-//!                      (default 4; reported in the shards column)
 //!   --json PATH        write the results as JSON to PATH
 //!   --baseline PATH    read a previous --json output and report speedups
 //!   --fail-below R     exit non-zero if any bench's speedup vs the
@@ -21,10 +20,9 @@
 //!                      common bench's speedup falls below R.
 //! ```
 //!
-//! Unlike the Criterion benches (which use the offline criterion stub's
-//! fixed time budget), this harness runs a *fixed work quantum* per
-//! bench and reports the best-of-R nanoseconds per operation, so two
-//! runs on the same machine are directly comparable. The committed
+//! The harness runs a *fixed work quantum* per bench and reports the
+//! best-of-R nanoseconds per operation, so two runs on the same
+//! machine are directly comparable. The committed
 //! `BENCH_PR2.json` at the repo root records the PR-over-PR trajectory.
 
 use std::path::PathBuf;
@@ -47,9 +45,6 @@ struct BenchResult {
     name: &'static str,
     ns_per_op: f64,
     ops: u64,
-    /// Engine shards the bench ran with (1 = serial; only the e2e
-    /// simulations can shard).
-    shards: usize,
 }
 
 struct Harness {
@@ -75,12 +70,11 @@ impl Harness {
             let ns = t.elapsed().as_nanos() as f64 / batch as f64;
             best = best.min(ns);
         }
-        println!("{name:<40} {best:>12.1} ns/op  ({batch} ops, shards 1)");
+        println!("{name:<40} {best:>12.1} ns/op  ({batch} ops)");
         self.results.push(BenchResult {
             name,
             ns_per_op: best,
             ops: batch,
-            shards: 1,
         });
     }
 }
@@ -173,23 +167,21 @@ fn bench_system(
     name: &'static str,
     wl: &forhdc_workload::Workload,
     cfg: impl Fn() -> SystemConfig,
-    shards: usize,
 ) {
     let requests = wl.trace.len();
     let reps = if h.fast { 1 } else { 3 };
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        let r = System::new(cfg(), wl).with_shards(shards).run();
+        let r = System::new(cfg(), wl).run();
         std::hint::black_box(r.io_time);
         best = best.min(t.elapsed().as_nanos() as f64 / requests as f64);
     }
-    println!("{name:<40} {best:>12.1} ns/req  ({requests} reqs, shards {shards})");
+    println!("{name:<40} {best:>12.1} ns/req  ({requests} reqs)");
     h.results.push(BenchResult {
         name,
         ns_per_op: best,
         ops: requests as u64,
-        shards,
     });
 }
 
@@ -210,15 +202,13 @@ fn bench_e2e(h: &mut Harness) {
         .streams(128)
         .seed(seed)
         .build();
-    bench_system(h, "e2e/fig3_point_for", &wl, SystemConfig::for_, 1);
+    bench_system(h, "e2e/fig3_point_for", &wl, SystemConfig::for_);
 }
 
-fn bench_e2e_fig5(h: &mut Harness, shards: usize) {
+fn bench_e2e_fig5(h: &mut Harness) {
     // One fig5 point (alpha 0.4, 8-disk array, FOR policy) at a reduced
     // request count: the multi-disk workload whose media completions
-    // actually overlap, so the sharded engine forms real windows. Run
-    // serial and sharded back to back over the same workload; the
-    // reports are byte-identical, only the wall clock differs.
+    // overlap across the array.
     let opts = RunOptions::default();
     let requests = opts.synthetic_requests / 2;
     let seed = point_seed("fig5", 2); // row 2 = Zipf alpha 0.4
@@ -230,8 +220,7 @@ fn bench_e2e_fig5(h: &mut Harness, shards: usize) {
         .zipf_alpha(0.4)
         .seed(seed)
         .build();
-    bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_, 1);
-    bench_system(h, "e2e/fig5_point_sharded", &wl, SystemConfig::for_, shards);
+    bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_);
 }
 
 fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f64)>>) -> String {
@@ -248,8 +237,8 @@ fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    \"{}\": {{\"ns_per_op\": {:.1}, \"ops\": {}, \"shards\": {}}}",
-            r.name, r.ns_per_op, r.ops, r.shards
+            "\n    \"{}\": {{\"ns_per_op\": {:.1}, \"ops\": {}}}",
+            r.name, r.ns_per_op, r.ops
         ));
     }
     s.push_str("\n  }");
@@ -326,7 +315,6 @@ fn main() -> ExitCode {
         return cmp_main(&args[1..]);
     }
     let mut fast = false;
-    let mut shards = 4usize;
     let mut json_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut fail_below: Option<f64> = None;
@@ -334,13 +322,6 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--fast" => fast = true,
-            "--shards" => {
-                i += 1;
-                shards = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0 => v,
-                    _ => return usage_err("--shards needs a positive integer"),
-                };
-            }
             "--json" => {
                 i += 1;
                 match args.get(i) {
@@ -410,7 +391,7 @@ fn main() -> ExitCode {
     bench_segment_cache(&mut h);
     bench_hdc(&mut h);
     bench_e2e(&mut h);
-    bench_e2e_fig5(&mut h, shards);
+    bench_e2e_fig5(&mut h);
 
     let mut regressed = Vec::new();
     if let Some(base) = &baseline {
@@ -509,7 +490,7 @@ fn cmp_main(args: &[String]) -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: perf [--fast] [--shards N] [--json PATH] [--baseline PATH] [--fail-below RATIO]\n       perf cmp OLD.json NEW.json [--fail-below RATIO]";
+const USAGE: &str = "usage: perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]\n       perf cmp OLD.json NEW.json [--fail-below RATIO]";
 
 fn usage_err(err: &str) -> ExitCode {
     eprintln!("error: {err}\n\n{USAGE}");

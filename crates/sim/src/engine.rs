@@ -4,6 +4,10 @@
 //! Events scheduled for the same instant are delivered in the order they
 //! were scheduled (FIFO), which keeps whole-simulation runs bit-for-bit
 //! reproducible regardless of hash-map iteration order elsewhere.
+//!
+//! The simulator itself runs on [`crate::calendar::LaneCalendar`];
+//! [`EventQueue`] is the plain binary-heap reference its pop order is
+//! property-tested against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

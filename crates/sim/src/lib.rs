@@ -10,10 +10,11 @@
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`],
 //!   [`SimDuration`]) with deterministic ordering.
-//! * [`engine`] — a calendar event queue with (time, sequence)
-//!   tie-breaking ([`EventQueue`]).
-//! * [`calendar`] — the sharded per-lane calendar with identical pop
-//!   order and O(lanes) operations ([`LaneCalendar`]).
+//! * [`engine`] — a binary-heap event queue with (time, sequence)
+//!   tie-breaking ([`EventQueue`]), kept as the property-test
+//!   reference for the calendar.
+//! * [`calendar`] — the per-lane calendar the simulator runs on, with
+//!   identical pop order and O(lanes) operations ([`LaneCalendar`]).
 //! * [`geometry`] — physical-block → (cylinder, surface, sector) mapping
 //!   ([`DiskGeometry`]).
 //! * [`seek`] — the paper's piecewise seek-time model
